@@ -1,6 +1,7 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what a CI job runs: vet, build, race-enabled tests, quick bench
+#   make ci      - what a CI job runs: gofmt check, vet, build, every race
+#                  verify gate, the package tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
@@ -9,12 +10,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft bench bench-figs bench-json bench-save ci
+.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft bench bench-figs bench-json bench-save ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fails listing the files gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -110,10 +115,11 @@ bench-save:
 	$(GO) run ./cmd/xmoe-bench -json -experiment abl-overlap,abl-overlap-bwd,abl-faults,abl-engine-delta,abl-zero
 	@echo "BENCH_results.json updated; commit it with this PR"
 
-# Quick CI: vet + build + race tests on the fast packages + the chaos
-# suite + unit tests of the remaining packages + a quick microbenchmark
-# smoke run.
-ci: vet build race-fast chaos-fast verify-rbd verify-ft
+# Quick CI, the superset of every gate: gofmt + vet + build + race tests
+# on the fast packages + the chaos suite + the event-engine, ZeRO, RBD and
+# fault-tolerance verify gates + unit tests of the remaining packages + a
+# quick microbenchmark smoke run.
+ci: fmt-check vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft
 	$(GO) test ./internal/... .
 	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
 		-benchmem -benchtime=10x ./internal/moe ./internal/train

@@ -7,6 +7,7 @@ import (
 	"xmoe/internal/memmodel"
 	"xmoe/internal/model"
 	"xmoe/internal/moe"
+	"xmoe/internal/netsim"
 	"xmoe/internal/parallel"
 	"xmoe/internal/perfmodel"
 	"xmoe/internal/rbd"
@@ -140,6 +141,9 @@ type layerRun struct {
 	cluster *simrt.Cluster
 	// wall is the slowest rank's fwd+bwd clock.
 	wall float64
+	// preWaitWall is the slowest rank's clock just before it waits on
+	// its gradient-sync handles (equal to wall when nothing was issued).
+	preWaitWall float64
 	// fwdBreakdown is the per-stage forward time averaged over ranks
 	// (snapshotted before the backward so Fig. 11 stays pure-forward).
 	fwdBreakdown map[string]float64
@@ -162,42 +166,67 @@ func gradFamilies(sh model.Shape, plan parallel.Plan) (expertPerLayer, densePerL
 // overlaps the backward (bucketed async reduce issued from the
 // backward's OnDWReady hook, ZeRO stage from the plan) or, with
 // BlockingGradSync, is charged as the classic blocking tail.
+//
+// The accumulation micro-steps before the last run the same layer
+// without gradient sync. At TP=1 their time is read off the synced run:
+// issuing the async sync charges nothing to a rank's clock and no
+// blocking collective follows the issue, so the sync-free layer ends
+// exactly where the synced one reaches its Waits. At TP>1 the blocking
+// tp_bwd_allreduce queues behind the in-flight sync on the comm stream,
+// and only a second, sync-free run prices the layer.
 func simulateStepReal(sys Config, spec RunSpec, res StepResult) StepResult {
+	microSteps, withSync := accumulation(spec)
+	primary := runFullLayer(sys, spec, withSync)
+	if primary.err != nil {
+		return StepResult{Err: primary.err}
+	}
+	layerNoSync := primary.wall
+	if withSync && microSteps > 1 {
+		if spec.Plan.TP == 1 {
+			layerNoSync = primary.preWaitWall
+		} else {
+			plain := runFullLayer(sys, spec, false)
+			if plain.err != nil {
+				return StepResult{Err: plain.err}
+			}
+			layerNoSync = plain.wall
+		}
+	}
+	res.LayerForward = primary.fwdBreakdown
+	res.MicroSteps = microSteps
+	res.IterSeconds = iterSeconds(spec, primary.cluster.Net, primary.wall, layerNoSync)
+	finishThroughput(&res, spec, spec.World/spec.Plan.TP)
+	return res
+}
+
+// accumulation returns the gradient-accumulation depth of the spec and
+// whether its gradients sync overlapped with the backward (some DP or
+// expert-DP group has more than one member and BlockingGradSync is off).
+func accumulation(spec RunSpec) (microSteps int, withSync bool) {
+	edpGroups := spec.Plan.ExpertDPGroups()
+	dpGroups := spec.Plan.DPGroups()
+	hasEDP := len(edpGroups) > 0 && len(edpGroups[0]) > 1
+	hasDP := len(dpGroups) > 0 && len(dpGroups[0]) > 1
+	dataDP := spec.World / spec.Plan.TP
+	microSteps = max(spec.GlobalBatch/(spec.MicroBatch*dataDP), 1)
+	return microSteps, !spec.BlockingGradSync && (hasEDP || hasDP)
+}
+
+// iterSeconds assembles one optimizer iteration from the simulated layer
+// times — layerSync for the last micro-step, whose backward carries the
+// overlapped gradient sync, and layerNoSync for the accumulation steps
+// before it — plus the synchronisation tails priced on net.
+func iterSeconds(spec RunSpec, net *netsim.Network, layerSync, layerNoSync float64) float64 {
 	expertPerLayer, densePerLayer, embedBytes := gradFamilies(spec.Shape, spec.Plan)
 	edpGroups := spec.Plan.ExpertDPGroups()
 	dpGroups := spec.Plan.DPGroups()
 	hasEDP := len(edpGroups) > 0 && len(edpGroups[0]) > 1
 	hasDP := len(dpGroups) > 0 && len(dpGroups[0]) > 1
-
-	dataDP := spec.World / spec.Plan.TP
-	microSteps := spec.GlobalBatch / (spec.MicroBatch * dataDP)
-	if microSteps < 1 {
-		microSteps = 1
-	}
-
-	withSync := !spec.BlockingGradSync && (hasEDP || hasDP)
-	primary := runFullLayer(sys, spec, withSync)
-	if primary.err != nil {
-		return StepResult{Err: primary.err}
-	}
-	layerSync := primary.wall
-	layerNoSync := primary.wall
-	if withSync && microSteps > 1 {
-		// Accumulation steps before the last run the same layer without
-		// gradient sync (grads sync once per iteration); a second run
-		// prices that layer.
-		plain := runFullLayer(sys, spec, false)
-		if plain.err != nil {
-			return StepResult{Err: plain.err}
-		}
-		layerNoSync = plain.wall
-	}
-	res.LayerForward = primary.fwdBreakdown
+	microSteps, withSync := accumulation(spec)
 
 	// Fixed per-micro-step overhead: optimizer bookkeeping, data loading,
 	// host-side launch gaps between layers.
 	const microOverhead = 0.03
-	net := primary.cluster.Net
 	layers := float64(spec.Shape.Layers)
 
 	// Synchronisation tails shared by both sync modes: the embedding
@@ -234,25 +263,20 @@ func simulateStepReal(sys Config, spec RunSpec, res StepResult) StepResult {
 		}
 	}
 
-	res.MicroSteps = microSteps
 	if withSync {
-		res.IterSeconds = float64(microSteps-1)*(layers*layerNoSync+microOverhead) +
+		return float64(microSteps-1)*(layers*layerNoSync+microOverhead) +
 			(layers*layerSync + microOverhead) + tail
-	} else {
-		// Blocking mode: every micro-step runs sync-free, then the whole
-		// family gradients synchronise serially at the end.
-		var syncTime float64
-		if hasEDP {
-			syncTime += gradTail(edpGroups[0], int64(spec.Shape.Layers)*expertPerLayer)
-		}
-		if hasDP {
-			syncTime += gradTail(dpGroups[0], int64(spec.Shape.Layers)*densePerLayer)
-		}
-		res.IterSeconds = float64(microSteps)*(layers*layerNoSync+microOverhead) + syncTime + tail
 	}
-
-	finishThroughput(&res, spec, dataDP)
-	return res
+	// Blocking mode: every micro-step runs sync-free, then the whole
+	// family gradients synchronise serially at the end.
+	var syncTime float64
+	if hasEDP {
+		syncTime += gradTail(edpGroups[0], int64(spec.Shape.Layers)*expertPerLayer)
+	}
+	if hasDP {
+		syncTime += gradTail(dpGroups[0], int64(spec.Shape.Layers)*densePerLayer)
+	}
+	return float64(microSteps)*(layers*layerNoSync+microOverhead) + syncTime + tail
 }
 
 // runFullLayer simulates one transformer layer's forward and backward on
@@ -328,6 +352,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
 	zcfg := zero.Config{Stage: spec.Plan.ZeROStage, BucketBytes: spec.BucketBytes}
 
 	fwdBds := make([]map[string]float64, spec.World)
+	preWait := make([]float64, spec.World)
 
 	ranks, err := cluster.RunCollect(func(r *simrt.Rank) error {
 		comp := r.C.Comp
@@ -469,6 +494,7 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
 			r.AllReduce(tp, "tp_bwd_allreduce", nil, int64(sTokens)*int64(h)*2)
 		}
 
+		preWait[r.ID] = r.Clock
 		if esync != nil {
 			esync.Wait()
 		}
@@ -482,10 +508,9 @@ func runFullLayer(sys Config, spec RunSpec, withSync bool) layerRun {
 	}
 
 	out := layerRun{cluster: cluster, fwdBreakdown: trace.MergeMaps(fwdBds, true)}
-	for _, rk := range ranks {
-		if rk.Clock > out.wall {
-			out.wall = rk.Clock
-		}
+	for i, rk := range ranks {
+		out.wall = max(out.wall, rk.Clock)
+		out.preWaitWall = max(out.preWaitWall, preWait[i])
 	}
 	return out
 }

@@ -1,8 +1,9 @@
 package moe
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // DropPolicy selects the token-dropping semantics of PFT construction.
@@ -142,6 +143,7 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 	// Capacity dropping per expert segment.
 	retained := make([]pftEntry, 0, len(entries))
 	dropped := r.S*k - len(entries) // negatives already dropped
+	var idx []int32                 // DropByCapacityWeight scratch, reused across segments
 	for lo := 0; lo < len(entries); {
 		hi := lo
 		for hi < len(entries) && entries[hi].expert == entries[lo].expert {
@@ -153,25 +155,26 @@ func buildPFT(r Routing, numExperts int, caps []int, maxTokenCount int, policy D
 			switch policy {
 			case DropByCapacityWeight:
 				// Keep the limit highest-weight entries (Listing 1 lines
-				// 24-33), then restore flat order.
-				idx := make([]int, len(seg))
-				for i := range idx {
-					idx[i] = i
+				// 24-33), then restore flat order. (weight desc, flat asc)
+				// is a total order, so the unstable sort yields exactly the
+				// permutation a stable one would.
+				idx = idx[:0]
+				for i := range seg {
+					idx = append(idx, int32(i))
 				}
-				sort.SliceStable(idx, func(a, b int) bool {
-					if seg[idx[a]].weight != seg[idx[b]].weight {
-						return seg[idx[a]].weight > seg[idx[b]].weight
+				slices.SortFunc(idx, func(a, b int32) int {
+					if wa, wb := seg[a].weight, seg[b].weight; wa != wb {
+						if wa > wb {
+							return -1
+						}
+						return 1
 					}
-					return seg[idx[a]].flat < seg[idx[b]].flat
+					return cmp.Compare(seg[a].flat, seg[b].flat)
 				})
-				keep := make([]bool, len(seg))
-				for _, i := range idx[:limit] {
-					keep[i] = true
-				}
-				for i, e := range seg {
-					if keep[i] {
-						retained = append(retained, e)
-					}
+				kept := idx[:limit]
+				slices.Sort(kept)
+				for _, i := range kept {
+					retained = append(retained, seg[i])
 				}
 			case DropNegativeThenPosition:
 				// First-come-first-served: seg is already flat-ordered.

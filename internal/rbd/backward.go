@@ -148,8 +148,8 @@ type bwdGeom struct {
 	pilotFull  []int // pilotAbs index -> full-layout row
 	replFull   []int // replicaRef index -> full-layout row
 	wByAbs     []float32
-	sentTo     []int // pilots this rank sent to each EP member
-	partStart  []int // pilot send-order boundaries per member
+	sentTo     []int   // pilots this rank sent to each EP member
+	partStart  []int   // pilot send-order boundaries per member
 	fullOfPart [][]int // (s2 part, pos) -> full-layout row
 }
 

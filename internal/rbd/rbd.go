@@ -12,7 +12,6 @@ package rbd
 
 import (
 	"fmt"
-	"sort"
 
 	"xmoe/internal/kernels"
 	"xmoe/internal/moe"
@@ -622,44 +621,43 @@ func (d *Dispatcher) stageReplicas(r *simrt.Rank, st *State, opts Opts) []simrt.
 
 	// Group incoming replicas by their destination member within this
 	// node, ordered by ascending expert id (the paper's contiguous,
-	// destination-ordered local exchange buffer).
+	// destination-ordered local exchange buffer): one counting sort over
+	// (destination slot, expert-within-member) bins, filled in (src, ri)
+	// order so rows of one expert keep their arrival order.
 	nodeMembers := d.nodeMembers[myNode]
 	type stagedReplica struct {
 		pilotAbs int
 		meta     replicaMeta
 		src, ri  int
 	}
-	// Count per destination slot, then fill flat-backed views.
-	nReplicasIn := 0
-	stagedCount := make([]int, len(nodeMembers)+1)
+	binOf := func(expert int) int {
+		return d.slotOfMember[d.memberOfExpert(expert)]*d.EPR + expert%d.EPR
+	}
+	binOff := make([]int, len(nodeMembers)*d.EPR+1)
 	for src := 0; src < p; src++ {
 		for _, rm := range st.recvMetas[src].replicas {
-			dm := d.memberOfExpert(rm.expert)
-			if d.nodeOfMember[dm] != myNode {
+			if d.NodeOfExpert(rm.expert) != myNode {
 				panic(fmt.Sprintf("rbd: replica for expert %d routed off-node", rm.expert))
 			}
-			stagedCount[d.slotOfMember[dm]+1]++
-			nReplicasIn++
+			binOff[binOf(rm.expert)+1]++
 		}
 	}
-	staged := make([][]stagedReplica, len(nodeMembers))
+	for b := 1; b < len(binOff); b++ {
+		binOff[b] += binOff[b-1]
+	}
+	nReplicasIn := binOff[len(binOff)-1]
 	stagedFlat := make([]stagedReplica, nReplicasIn)
+	staged := make([][]stagedReplica, len(nodeMembers))
 	for slot := range staged {
-		stagedCount[slot+1] += stagedCount[slot]
-		staged[slot] = stagedFlat[stagedCount[slot]:stagedCount[slot]]
+		staged[slot] = stagedFlat[binOff[slot*d.EPR]:binOff[(slot+1)*d.EPR]]
 	}
 	for src := 0; src < p; src++ {
 		for ri, rm := range st.recvMetas[src].replicas {
 			abs := st.pilotPartOff[src] + rm.pilotRel // re-encode to absolute
-			slot := d.slotOfMember[d.memberOfExpert(rm.expert)]
-			staged[slot] = append(staged[slot], stagedReplica{pilotAbs: abs, meta: rm, src: src, ri: ri})
+			b := binOf(rm.expert)
+			stagedFlat[binOff[b]] = stagedReplica{pilotAbs: abs, meta: rm, src: src, ri: ri}
+			binOff[b]++
 		}
-	}
-	// Stable order by expert id within each destination (the paper keeps
-	// the local exchange buffer contiguous and expert-ordered).
-	for slot := range staged {
-		s := staged[slot]
-		sort.SliceStable(s, func(a, b int) bool { return s[a].meta.expert < s[b].meta.expert })
 	}
 	r.Compute(StageS2Inst, comp.MemBound(perfmodel.ClassTriton, 2*int64(nReplicasIn)*int64(h)*elem))
 	mem.Alloc("rbd_s2_send", int64(nReplicasIn)*int64(h)*elem)
