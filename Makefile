@@ -1,16 +1,34 @@
 # Developer workflow for the xmoe reproduction.
 #
-#   make ci      - what a CI job runs: gofmt check, vet, build, every race
-#                  verify gate, the package tests, quick bench
+#   make ci      - what a CI job runs: gofmt check, vet, build, the gate
+#                  regex check, every race verify gate, the fuzz smoke,
+#                  the package tests, quick bench
 #   make test    - full test suite (includes the slow sweep tests)
 #   make race    - full race-detector pass (go test -race ./...)
 #   make race-fast - race pass over just the concurrency-heavy packages
 #   make bench   - package microbenchmarks with allocation counts
 #   make bench-figs - paper-figure benchmarks (slow)
+#   make fuzz-smoke - every Fuzz target for FUZZTIME each
+#   make gate-check - every -run term of the verify gates selects a test
 
 GO ?= go
+FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft bench bench-figs bench-json bench-save ci
+# The -run selections of the verify gates and the packages they run in.
+# gate-check fails when an alternative matches no test in its gate's
+# packages, so a renamed test cannot silently drop out of a gate.
+DEVENT_RUN  := Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate
+DEVENT_PKGS := ./internal/simrt
+ZERO_RUN    := ZeRO|StateBytes|ShardRange|ReduceAsync|AllReduceAsync|ReduceScatterAsync|AllGatherAsync|OnDWReady|Bucketed
+ZERO_PKGS   := ./internal/simrt ./internal/moe ./internal/train ./internal/memmodel ./internal/netsim
+RBD_RUN     := RBD
+RBD_PKGS    := ./internal/train ./internal/bench ./internal/baselines
+FT_RUN      := GrowShrink|AsyncCkpt|Spare|Mitigation|FaultTolerant|Rebalance|CheckpointBytes|BuildPFTCaps|BusyTimes
+FT_PKGS     := ./internal/train ./internal/moe ./internal/memmodel ./internal/simrt
+CHAOS_RUN   := Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Derate
+CHAOS_PKGS  := ./internal/simrt ./internal/fault ./internal/netsim ./internal/train
+
+.PHONY: all build fmt-check vet test race race-fast race-full chaos-fast verify-devent verify-zero verify-rbd verify-ft gate-check fuzz-smoke bench bench-figs bench-json bench-save ci
 
 all: build
 
@@ -55,8 +73,7 @@ race-full: race
 # bit-identical event logs and clocks), all under the race detector.
 verify-devent:
 	$(GO) test -race ./internal/devent ./internal/topology
-	$(GO) test -race -run 'Engine|ConcurrentCollectives|CommHandleOverlap|SetLinkDerate' \
-		./internal/simrt
+	$(GO) test -race -run '$(DEVENT_RUN)' $(DEVENT_PKGS)
 
 # ZeRO verification gate: the sharded gradient-sync stack under the race
 # detector — async reduction collectives (simrt), bucket partitioning and
@@ -65,36 +82,62 @@ verify-devent:
 # invariants (netsim).
 verify-zero:
 	$(GO) test -race ./internal/zero
-	$(GO) test -race -run 'ZeRO|StateBytes|ShardRange|ReduceAsync|AllReduceAsync|ReduceScatterAsync|AllGatherAsync|OnDWReady|Bucketed' \
-		./internal/simrt ./internal/moe ./internal/train ./internal/memmodel ./internal/netsim
+	$(GO) test -race -run '$(ZERO_RUN)' $(ZERO_PKGS)
 
 # RBD verification gate: the hierarchical dispatch/combine stack under the
 # race detector (rbd), the backward determinism matrix and gradient-parity
-# pins (chunked==blocking and pooled==fresh bitwise, RBD==PFT/padded at
+# pins (chunked==C=1 and pooled==fresh bitwise, RBD==PFT/padded at
 # float tolerance), and the RBD rows of the distributed trainer —
 # checkpoint/shrink cycles, ZeRO stages, typed option rejections.
 verify-rbd:
 	$(GO) test -race ./internal/rbd
-	$(GO) test -race -run 'RBD|Redundancy' ./internal/train ./internal/bench ./internal/baselines
+	$(GO) test -race -run '$(RBD_RUN)' $(RBD_PKGS)
 
 # Fault-tolerance verification gate: the elastic-resilience stack under
 # the race detector — the fault plan grammar and injector windows,
 # grow/shrink cycle bit-determinism, async==blocking checkpoint weight
 # parity (with the mid-write fallback pin), hot-spare promotion, the
-# straggler-aware capacity rebalance, and the all-features determinism
-# acceptance run.
+# straggler-aware capacity rebalance with its per-rank busy-time signal,
+# and the all-features determinism acceptance run.
 verify-ft:
 	$(GO) test -race ./internal/fault
-	$(GO) test -race -run 'GrowShrink|AsyncCkpt|Spare|Mitigation|FaultTolerant|Rebalance|CheckpointBytes|BuildPFTCaps|BusyTimes' \
-		./internal/train ./internal/moe ./internal/memmodel ./internal/simrt
+	$(GO) test -race -run '$(FT_RUN)' $(FT_PKGS)
 
 # Chaos pass: the seeded fault-injection suite under the race detector —
 # rank crashes mid-collective, stragglers, flaky retries, degraded links,
 # checkpoint rollback and elastic recovery. Every schedule is
 # deterministic (fault.Plan seeds), so failures reproduce exactly.
 chaos-fast:
-	$(GO) test -race -run 'Crash|Fault|Inject|Straggler|Flaky|Desync|ReducerPanic|Checkpoint|Gone|Derate' \
-		./internal/simrt ./internal/fault ./internal/netsim ./internal/train
+	$(GO) test -race -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
+
+# Fails naming every -run alternative of a gate above that selects no
+# test, example or fuzz target in that gate's packages (one `go test
+# -list` per gate; the terms are plain identifiers, so grep -E matches
+# them as go test's -run would).
+gate-check:
+	@fail=0; \
+	check() { names=$$($(GO) test -list . $$3 | grep -E '^(Test|Example|Fuzz)'); \
+		for term in $$(echo "$$2" | tr '|' ' '); do \
+			echo "$$names" | grep -qE -- "$$term" || \
+				{ echo "gate-check: $$1 -run term '$$term' selects no test in $$3"; fail=1; }; \
+		done; }; \
+	check verify-devent '$(DEVENT_RUN)' '$(DEVENT_PKGS)'; \
+	check verify-zero '$(ZERO_RUN)' '$(ZERO_PKGS)'; \
+	check verify-rbd '$(RBD_RUN)' '$(RBD_PKGS)'; \
+	check verify-ft '$(FT_RUN)' '$(FT_PKGS)'; \
+	check chaos-fast '$(CHAOS_RUN)' '$(CHAOS_PKGS)'; \
+	exit $$fail
+
+# Runs every Fuzz target in the module for FUZZTIME (go test fuzzes one
+# target per invocation); the committed seed corpora under testdata/fuzz
+# also run in every plain go test.
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ { n[++k] = $$1; next } /^ok/ { for (i = 1; i <= k; i++) print $$2, n[i]; k = 0 }' | \
+		while read pkg target; do \
+			echo "fuzz-smoke: $$target ($$pkg)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/tensor \
@@ -115,11 +158,12 @@ bench-save:
 	$(GO) run ./cmd/xmoe-bench -json -experiment abl-overlap,abl-overlap-bwd,abl-faults,abl-engine-delta,abl-zero
 	@echo "BENCH_results.json updated; commit it with this PR"
 
-# Quick CI, the superset of every gate: gofmt + vet + build + race tests
-# on the fast packages + the chaos suite + the event-engine, ZeRO, RBD and
-# fault-tolerance verify gates + unit tests of the remaining packages + a
-# quick microbenchmark smoke run.
-ci: fmt-check vet build race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft
+# Quick CI, the superset of every gate: gofmt + vet + build + the gate
+# regex check + race tests on the fast packages + the chaos suite + the
+# event-engine, ZeRO, RBD and fault-tolerance verify gates + the fuzz
+# smoke + unit tests of the remaining packages + a quick microbenchmark
+# smoke run.
+ci: fmt-check vet build gate-check race-fast chaos-fast verify-devent verify-zero verify-rbd verify-ft fuzz-smoke
 	$(GO) test ./internal/... .
 	$(GO) test -run=NONE -bench='BenchmarkPFTLayerForwardBackward|BenchmarkMoEFFNForwardBackward' \
 		-benchmem -benchtime=10x ./internal/moe ./internal/train

@@ -46,176 +46,18 @@ type BackwardResult struct {
 // the property the paper's four-alltoalls-per-layer accounting relies on.
 //
 // opts selects the execution mode: Numeric moves real gradients (dOut and
-// params must be set), otherwise the pass is timing-only; OverlapChunks
-// selects the chunked overlapped backward, whose gradients are
-// bit-identical to the blocking backward for any chunk count (see
-// pftBackwardOverlap).
+// params must be set), otherwise the pass is timing-only. OverlapChunks
+// splits the combine gradient along the same per-expert ChunkRange
+// boundaries as the forward: all C combine-gradient all-to-alls are
+// issued non-blocking up front, and each chunk's dX GEMM chain runs while
+// the next chunk's transfer is in flight. The dW GEMMs run once over the
+// complete segments after the last chunk — the same reduction for every
+// C, so the gradients are bit-identical for any chunk count (per-chunk
+// partial dW accumulation would reorder the float summation). For C >= 2
+// they hide the tail of the in-flight reverse dispatch all-to-alls; at
+// C=1 the backward waits for its single reverse dispatch first, the
+// blocking schedule.
 func PFTBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
-	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
-
-	if opts.chunks() > 1 {
-		return pftBackwardOverlap(r, g, cfg, st, dOut, params, opts)
-	}
-	epr := epCheck(cfg, g)
-	p := g.Size()
-	h, f := cfg.HModel, cfg.HFFN
-	elem := int64(cfg.BytesPerElem)
-	comp := r.C.Comp
-	pft := st.PFT
-	b := pft.B()
-	bExp := st.bExp()
-	// Rank-local backward scratch comes from the per-rank arena;
-	// gradients returned to the caller and buffers crossing the
-	// all-to-alls stay allocate-fresh (see PFTForward).
-	pool := r.Pool()
-
-	// --- Scatter-combine backward ----------------------------------------
-	// The forward pass saved combineIn (the returned expert outputs in
-	// PFT order); the scatter's backward yields the per-row gradients
-	// and the combine-weight gradients in one pass.
-	r.Compute(StageBwdCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-	var dCombineIn *tensor.Tensor
-	var dWeights []float32
-	if opts.Numeric {
-		dCombineIn, dWeights = kernels.ScatterCombineBackward(dOut, st.CombineIn, pft.TokenIDs, pft.CombineWeights)
-	}
-
-	// --- Reverse combine all-to-all ---------------------------------------
-	// Forward combine moved rows experts→source; its gradient moves
-	// source→experts with identical segmentation (the dispatch layout).
-	segStart := pft.ExpertSegments()
-	send := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		lo := segStart[dst*epr]
-		hi := b
-		if dst < p-1 {
-			hi = segStart[(dst+1)*epr]
-		}
-		part := simrt.Part{Bytes: int64(hi-lo) * int64(h) * elem}
-		if opts.Numeric && hi > lo {
-			part.Data = dCombineIn.Data[lo*h : hi*h]
-		}
-		send[dst] = part
-	}
-	recv := r.AlltoAllV(g, StageBwdCombineA2A, send)
-
-	// Received: src-major, per-src rows ordered by local expert — the
-	// same layout as the forward dispatch receive; reorder expert-major.
-	var dExpertOut *tensor.Tensor
-	if opts.Numeric {
-		dExpertOut = pool.Get(bExp, h)
-		for src := 0; src < p; src++ {
-			data := recv[src].Data
-			pos := 0
-			for le := 0; le < epr; le++ {
-				c := st.RecvCounts[src][le]
-				if c == 0 {
-					continue
-				}
-				copy(dExpertOut.Data[st.BlockOff[le][src]*h:(st.BlockOff[le][src]+c)*h],
-					data[pos*h:(pos+c)*h])
-				pos += c
-			}
-		}
-	}
-
-	// --- Expert FFN backward ----------------------------------------------
-	bwdTime := comp.SequentialGEMM(st.RowsPerLE, h, f)*2 +
-		comp.SequentialGEMM(st.RowsPerLE, f, h)*2 +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem)
-	r.Compute(StageBwdExperts, bwdTime)
-	// dW1/dW2 are returned to the caller, so they allocate fresh; the
-	// hidden-layer gradient chain is pure rank-local scratch.
-	var dW1, dW2 []*tensor.Tensor
-	var dExpertIn *tensor.Tensor
-	if opts.Numeric {
-		dW2 = newGradTensors(params.W2)
-		dHidAct := pool.Get(bExp, f)
-		kernels.SequentialGEMMBackwardInto(dHidAct, dW2, dExpertOut, st.HidAct, st.RowsPerLE, params.W2)
-		pool.Put(dExpertOut)
-		dHidPre := pool.Get(bExp, f)
-		tensor.GeLUBackwardInto(dHidPre, dHidAct, st.HidPre)
-		pool.Put(dHidAct)
-		dW1 = newGradTensors(params.W1)
-		dExpertIn = pool.Get(bExp, h)
-		kernels.SequentialGEMMBackwardInto(dExpertIn, dW1, dHidPre, st.ExpertIn, st.RowsPerLE, params.W1)
-		pool.Put(dHidPre)
-	}
-
-	// --- Reverse dispatch all-to-all ---------------------------------------
-	// Reorder expert-major gradients back to src-major and return them to
-	// their source ranks.
-	sendBack := make([]simrt.Part, p)
-	for src := 0; src < p; src++ {
-		rows := 0
-		for _, c := range st.RecvCounts[src] {
-			rows += c
-		}
-		part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
-		if opts.Numeric {
-			buf := make([]float32, rows*h)
-			pos := 0
-			for le := 0; le < epr; le++ {
-				c := st.RecvCounts[src][le]
-				if c == 0 {
-					continue
-				}
-				copy(buf[pos*h:(pos+c)*h],
-					dExpertIn.Data[st.BlockOff[le][src]*h:(st.BlockOff[le][src]+c)*h])
-				pos += c
-			}
-			part.Data = buf
-		}
-		sendBack[src] = part
-	}
-	if opts.Numeric {
-		// dExpertIn is fully staged into the send-back buffers.
-		pool.Put(dExpertIn)
-	}
-	back := r.AlltoAllV(g, StageBwdDispA2A, sendBack)
-	if opts.OnDWReady != nil {
-		// dW is complete and the backward's last blocking collective has
-		// retired: gradient sync issued here overlaps the gather backward
-		// and every earlier layer's backward compute.
-		opts.OnDWReady()
-	}
-
-	var dx *tensor.Tensor
-	if opts.Numeric {
-		dDispIn := pool.Get(b, h)
-		pos := 0
-		for dst := 0; dst < p; dst++ {
-			d := back[dst].Data
-			copy(dDispIn.Data[pos:pos+len(d)], d)
-			pos += len(d)
-		}
-		// --- Gather backward ------------------------------------------------
-		r.Compute(StageBwdDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-		dx = kernels.GatherBackward(dDispIn, pft.TokenIDs, st.S)
-		pool.Put(dDispIn)
-		// The forward state is consumed: its saved intermediates return to
-		// the arena so the next layer's forward pass reuses them.
-		pool.PutAll(st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn)
-		st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn = nil, nil, nil, nil
-	} else {
-		r.Compute(StageBwdDispatch, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*elem))
-	}
-
-	return BackwardResult{DX: dx, DW1: dW1, DW2: dW2, DCombineWeights: dWeights}
-}
-
-// pftBackwardOverlap is the chunked overlapped backward: the combine
-// gradient is split along the same per-expert ChunkRange boundaries as
-// the overlapped forward, all C combine-gradient all-to-alls are issued
-// non-blocking up front, and each chunk's dX GEMM chain runs while the
-// next chunk's transfer is in flight. The dW GEMMs are deferred until
-// every chunk's gradients have landed in the full expert-major buffers
-// and then run once over the complete segments — exactly the blocking
-// backward's reduction, so the weight gradients are bit-identical for
-// any chunk count (per-chunk partial dW accumulation would reorder the
-// float summation) — which also makes them the classic bubble filler:
-// they hide the tail of the in-flight reverse dispatch all-to-alls.
-func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdState,
 	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
 
 	chunks := opts.chunks()
@@ -253,8 +95,9 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 				rows += hi - lo
 				if opts.Numeric {
 					for i := segStart[e] + lo; i < segStart[e]+hi; i++ {
-						// Row i of the combine backward, exactly the
-						// blocking kernel's per-row arithmetic.
+						// Row i of the combine backward, exactly
+						// kernels.ScatterCombineBackward's per-row
+						// arithmetic.
 						gRow := dOut.Row(pft.TokenIDs[i])
 						xRow := st.CombineIn.Row(i)
 						w := pft.CombineWeights[i]
@@ -271,37 +114,24 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 			chunkRows += rows
 			part := simrt.Part{Bytes: int64(rows) * int64(h) * elem}
 			if opts.Numeric && rows > 0 {
-				// Staged allocate-fresh: the buffer crosses a collective.
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					e := dst*epr + le
-					lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-					if hi > lo {
-						copy(buf[pos*h:(pos+hi-lo)*h],
-							dCombineIn.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h])
-						pos += hi - lo
-					}
-				}
-				part.Data = buf
+				part.Data = packPFTChunk(dCombineIn.Data, pft, segStart, dst, epr, h, chunks, c, rows)
 			}
 			send[dst] = part
 		}
 		r.Compute(StageBwdCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
-		// Charge the strided chunk pack the blocking backward avoids by
-		// sending contiguous views.
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+		if chunks > 1 {
+			// Charge the strided chunk pack; at C=1 each destination's
+			// rows are one contiguous block.
+			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+		}
 		combineH[c] = r.AlltoAllVAsync(g, StageBwdCombineA2A, send)
-	}
-	if opts.Numeric {
-		pool.Put(dCombineIn) // fully staged into the send buffers
 	}
 
 	// --- Per-chunk dX GEMM chain, reverse dispatch issued per chunk ------
-	// Gradients land directly in full expert-major buffers (the blocking
-	// layout) so the deferred dW GEMMs see complete segments; the dX
-	// chain runs per (src, le) sub-block — contiguous in the full layout
-	// — and is row-independent, hence bit-identical to blocking.
+	// Gradients land directly in full expert-major buffers so the dW GEMMs
+	// see complete segments; the dX chain runs per (src, le) sub-block —
+	// contiguous in the full layout — and is row-independent, hence
+	// bit-identical for every chunk count.
 	var dExpertOut, dHidAct, dHidPre, dExpertIn *tensor.Tensor
 	if opts.Numeric {
 		dExpertOut = pool.Get(bExp, h)
@@ -325,9 +155,11 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 		}
 
 		// Reorder this chunk's received rows into the full expert-major
-		// gradient buffer (charged: the blocking backward's reorder is a
-		// contiguous pass, this one lands strided sub-blocks).
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		// gradient buffer (charged when chunks > 1: the chunk lands
+		// strided sub-blocks; at C=1 each block is contiguous).
+		if chunks > 1 {
+			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		}
 		if opts.Numeric {
 			for src := 0; src < p; src++ {
 				data := recv[src].Data
@@ -370,8 +202,8 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 		}
 
 		// Pack this chunk's input gradients src-major and send them home
-		// non-blocking; the transfer hides behind the remaining chunks'
-		// GEMMs and the deferred dW computation.
+		// non-blocking; for C >= 2 the transfer hides behind the remaining
+		// chunks' GEMMs and the dW computation.
 		sendBack := backFlat[c*p : (c+1)*p]
 		for src := 0; src < p; src++ {
 			rows := 0
@@ -395,14 +227,20 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 			}
 			sendBack[src] = part
 		}
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		if chunks > 1 {
+			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bc)*int64(h)*elem))
+		}
 		dispatchH[c] = r.AlltoAllVAsync(g, StageBwdDispA2A, sendBack)
 	}
+	if chunks == 1 {
+		// The blocking schedule: with one chunk the dW GEMMs run after
+		// the reverse dispatch, not hidden under it.
+		dispatchH[0].Wait()
+	}
 
-	// --- Deferred dW GEMMs over the complete segments ---------------------
-	// One TMatMul per expert over the full segment: the blocking
-	// backward's exact summation order, overlapping the in-flight
-	// reverse dispatch transfers.
+	// --- dW GEMMs over the complete segments ------------------------------
+	// One TMatMul per expert over the full segment, the same summation
+	// order for every chunk count.
 	r.Compute(StageBwdExperts, comp.SequentialGEMM(st.RowsPerLE, h, f)+
 		comp.SequentialGEMM(st.RowsPerLE, f, h))
 	var dW1, dW2 []*tensor.Tensor
@@ -422,13 +260,16 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 			tensor.TMatMulInto(dW1[le], segIn, segDP)
 			off += rows
 		}
-		pool.PutAll(dExpertOut, dHidAct, dHidPre, dExpertIn)
+		// At C=1 peers read dCombineIn through views until they land it,
+		// which every peer has done once the reverse dispatch rendezvous
+		// above completed, so it can return to the arena only now.
+		pool.PutAll(dExpertOut, dHidAct, dHidPre, dExpertIn, dCombineIn)
 	}
 	if opts.OnDWReady != nil {
 		// dW is complete; the only remaining collectives are the already
-		// in-flight reverse dispatch chunks, so gradient sync issued here
-		// queues behind them on the comm stream and overlaps the drain
-		// and gather backward.
+		// issued reverse dispatch chunks (retired at C=1), so gradient
+		// sync issued here queues behind them on the comm stream and
+		// overlaps the drain and gather backward.
 		opts.OnDWReady()
 	}
 
@@ -463,7 +304,8 @@ func pftBackwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, st *PFTFwdSta
 	if opts.Numeric {
 		dx = kernels.GatherBackward(dDispIn, pft.TokenIDs, st.S)
 		pool.Put(dDispIn)
-		// The forward state is consumed (see the blocking path).
+		// The forward state is consumed: its saved intermediates return to
+		// the arena so the next layer's forward pass reuses them.
 		pool.PutAll(st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn)
 		st.ExpertIn, st.HidPre, st.HidAct, st.CombineIn = nil, nil, nil, nil
 	}

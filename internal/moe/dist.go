@@ -60,18 +60,17 @@ type PipelineOpts struct {
 	// tensors), in symbolic mode the exchange geometry only, so a
 	// timing-only backward pass can mirror the forward volumes.
 	SaveForBackward bool
-	// OverlapChunks selects the chunked comm/compute-overlap execution of
-	// the dispatch -> experts -> combine middle section: the routed
-	// tokens are split into OverlapChunks per-expert chunks, chunk i+1's
-	// dispatch all-to-all overlaps chunk i's expert GEMMs on the
-	// communication stream, and chunk i's combine all-to-all overlaps
-	// chunk i+1's GEMMs (FastMoE smart scheduling / Megatron Core MoE
-	// overlap). Values <= 1 select the blocking pipeline. Numeric output
-	// is bit-identical to the blocking pipeline for any chunk count (the
-	// expert FFN is row-independent and chunking never reorders the
-	// per-row arithmetic). Composes with SaveForBackward: the overlapped
-	// forward scatters its per-chunk intermediates into the same
-	// full-layout buffers the blocking forward saves, and the backward
+	// OverlapChunks is the chunk count C of the dispatch -> experts ->
+	// combine middle section: the routed tokens are split into C
+	// per-expert chunks, chunk i+1's dispatch all-to-all overlaps chunk
+	// i's expert GEMMs on the communication stream, and chunk i's combine
+	// all-to-all overlaps chunk i+1's GEMMs (FastMoE smart scheduling /
+	// Megatron Core MoE overlap). Values <= 1 mean C=1, the blocking
+	// schedule of the same pipeline body. Numeric output is bit-identical
+	// for any chunk count (the expert FFN is row-independent and chunking
+	// never reorders the per-row arithmetic). Composes with
+	// SaveForBackward: the forward scatters its per-chunk intermediates
+	// into chunk-count independent full-layout buffers, and the backward
 	// passes accept the same chunk count to overlap their mirrored
 	// all-to-alls (see PFTBackward).
 	OverlapChunks int
@@ -84,9 +83,9 @@ type PipelineOpts struct {
 	// uniform capacity).
 	CapacityByExpert []int
 	// OnDWReady, when set, is invoked exactly once per backward pass
-	// (PFTBackward / PaddedBackward, blocking or chunked) at the point
+	// (PFTBackward / PaddedBackward, at any chunk count) at the point
 	// where the layer's weight gradients are complete and the backward's
-	// last blocking collective has retired — the hook point for issuing
+	// last waited collective has retired — the hook point for issuing
 	// bucketed asynchronous gradient synchronisation (internal/zero) so
 	// the sync overlaps the remaining backward compute instead of
 	// serialising after it. Forward-only calls never invoke it.
@@ -157,7 +156,7 @@ func (o PipelineOpts) combineBytes(cfg Config) int {
 	return cfg.BytesPerElem
 }
 
-// chunks returns the effective chunk count (1 = blocking).
+// chunks returns the effective chunk count C (C=1 is the blocking schedule).
 func (o PipelineOpts) chunks() int {
 	if o.OverlapChunks > 1 {
 		return o.OverlapChunks
@@ -272,18 +271,11 @@ func epCheck(cfg Config, g *simrt.Group) int {
 // routing is the gate decision for the local tokens.
 func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tensor, routing Routing, params *ExpertParams, opts PipelineOpts) LayerResult {
 	opts.mustCheck()
-	epr := epCheck(cfg, g)
-	p := g.Size()
-	h, f := cfg.HModel, cfg.HFFN
+	epCheck(cfg, g)
+	h := cfg.HModel
 	elem := int64(cfg.BytesPerElem)
-	combElem := int64(opts.combineBytes(cfg))
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
-	// Rank-local intermediates come from the per-rank arena so the steady
-	// state allocates nothing; buffers whose data crosses the all-to-alls
-	// (dispIn, the send-back staging) stay allocate-fresh because peers
-	// may still read them after the rendezvous.
-	pool := r.Pool()
 
 	// --- Gate + PFT construction ---------------------------------------
 	// Router GEMM [s,H]x[H,E], softmax/top-k, then the sort-based PFT
@@ -304,201 +296,7 @@ func PFTForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.Tens
 	}
 	mem.Alloc("dispatch_in", int64(b)*int64(h)*elem)
 
-	// Chunked comm/compute-overlap execution of the middle section.
-	if opts.chunks() > 1 {
-		return pftForwardOverlap(r, g, cfg, s, pft, dispIn, params, opts)
-	}
-
-	// --- Uneven all-to-all (dispatch) ------------------------------------
-	// Exchange per-destination token counts, then the token payload.
-	segStart := pft.ExpertSegments()
-	send := make([]simrt.Part, p)
-	countsFlat := make([]int, p*epr)
-	for dst := 0; dst < p; dst++ {
-		lo := segStart[dst*epr]
-		hi := b
-		if dst < p-1 {
-			hi = segStart[(dst+1)*epr]
-		}
-		counts := countsFlat[dst*epr : (dst+1)*epr]
-		for le := 0; le < epr; le++ {
-			counts[le] = pft.TokensPerExpert[dst*epr+le]
-		}
-		part := simrt.Part{Meta: counts, Bytes: int64(hi-lo)*int64(h)*elem + int64(epr)*8}
-		if opts.Numeric && hi > lo {
-			part.Data = dispIn.Data[lo*h : hi*h]
-		}
-		send[dst] = part
-	}
-	recv := r.AlltoAllV(g, StageDispatchA2A, send)
-
-	// Received layout: src-major, each src's rows ordered by local expert.
-	recvCounts := make([][]int, p) // [src][localExpert]
-	bExp := 0
-	for src, part := range recv {
-		recvCounts[src] = part.Meta.([]int)
-		for _, c := range recvCounts[src] {
-			bExp += c
-		}
-	}
-	mem.Alloc("A_dispatch", int64(bExp)*int64(h)*elem)
-
-	// --- Expert-major reorder (sequential GEMM input prep) ---------------
-	// The paper notes this data transformation as the small expert-stage
-	// overhead of the sequential GEMM (§5.4.1).
-	r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(h)*elem))
-	rowsPerLE := make([]int, epr)
-	for _, counts := range recvCounts {
-		for le, c := range counts {
-			rowsPerLE[le] += c
-		}
-	}
-	// blockOff[le][src] = row offset of block (src, le) in expert-major
-	// layout (rows are views into one flat backing array).
-	blockOff := make([][]int, epr)
-	{
-		blockOffFlat := make([]int, epr*p)
-		off := 0
-		for le := 0; le < epr; le++ {
-			blockOff[le] = blockOffFlat[le*p : (le+1)*p]
-			for src := 0; src < p; src++ {
-				blockOff[le][src] = off
-				off += recvCounts[src][le]
-			}
-		}
-	}
-	var expertIn *tensor.Tensor
-	if opts.Numeric {
-		expertIn = pool.Get(bExp, h)
-		for src := 0; src < p; src++ {
-			data := recv[src].Data
-			pos := 0
-			for le := 0; le < epr; le++ {
-				c := recvCounts[src][le]
-				if c == 0 {
-					continue
-				}
-				copy(expertIn.Data[blockOff[le][src]*h:(blockOff[le][src]+c)*h],
-					data[pos*h:(pos+c)*h])
-				pos += c
-			}
-		}
-	}
-
-	// --- Sequential GEMM experts ----------------------------------------
-	expertTime := comp.SequentialGEMM(rowsPerLE, h, f) +
-		comp.SequentialGEMM(rowsPerLE, f, h) +
-		comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(f)*elem) // activation
-	r.Compute(StageExperts, expertTime)
-	mem.Alloc("A0_interm", int64(bExp)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(bExp)*int64(f)*elem)
-	var expertOut *tensor.Tensor
-	var hidPre, hidAct *tensor.Tensor
-	if opts.Numeric {
-		hidPre = pool.Get(bExp, f)
-		kernels.SequentialGEMMInto(hidPre, expertIn, rowsPerLE, params.W1)
-		hidAct = hidPre
-		if opts.SaveForBackward {
-			hidAct = pool.Get(bExp, f)
-			hidAct.Copy(hidPre)
-		}
-		tensor.GeLU(hidAct)
-		expertOut = pool.Get(bExp, h)
-		kernels.SequentialGEMMInto(expertOut, hidAct, rowsPerLE, params.W2)
-	}
-
-	// --- Reverse reorder to src-major -----------------------------------
-	r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(bExp)*int64(h)*elem))
-	sendBack := make([]simrt.Part, p)
-	{
-		for src := 0; src < p; src++ {
-			rows := 0
-			for _, c := range recvCounts[src] {
-				rows += c
-			}
-			part := simrt.Part{Bytes: int64(rows) * int64(h) * combElem}
-			if opts.Numeric {
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					c := recvCounts[src][le]
-					if c == 0 {
-						continue
-					}
-					copy(buf[pos*h:(pos+c)*h],
-						expertOut.Data[blockOff[le][src]*h:(blockOff[le][src]+c)*h])
-					pos += c
-				}
-				part.Data = buf
-			}
-			sendBack[src] = part
-		}
-	}
-
-	// --- Uneven all-to-all (combine) -------------------------------------
-	if opts.Numeric {
-		// expertOut is fully staged into the send-back buffers; recycle
-		// it (and the activation intermediates when not saved) before the
-		// collective so the next layer reuses the memory.
-		pool.Put(expertOut)
-		if !opts.SaveForBackward {
-			pool.PutAll(expertIn, hidPre)
-		}
-	}
-	back := r.AlltoAllV(g, StageCombineA2A, sendBack)
-	mem.Alloc("A_combine", int64(b)*int64(h)*combElem)
-	var combineIn *tensor.Tensor
-	if opts.Numeric {
-		combineIn = pool.Get(b, h)
-		pos := 0
-		for dst := 0; dst < p; dst++ {
-			d := back[dst].Data
-			copy(combineIn.Data[pos:pos+len(d)], d)
-			pos += len(d)
-		}
-	}
-
-	// --- Scatter combine --------------------------------------------------
-	r.Compute(StageCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*combElem))
-	var out *tensor.Tensor
-	if opts.Numeric {
-		out = kernels.ScatterCombine(combineIn, pft.TokenIDs, pft.CombineWeights, s)
-		if !opts.SaveForBackward {
-			pool.Put(combineIn)
-		}
-	}
-	mem.Alloc("output", int64(s)*int64(h)*elem)
-
-	if !opts.RetainActivations {
-		mem.Free("dispatch_in", int64(b)*int64(h)*elem)
-		mem.Free("A_dispatch", int64(bExp)*int64(h)*elem)
-		mem.Free("A0_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A1_interm", int64(bExp)*int64(f)*elem)
-		mem.Free("A_combine", int64(b)*int64(h)*combElem)
-		mem.Free("eri", pft.ERIBytes())
-	}
-
-	res := LayerResult{
-		Output:       out,
-		PFT:          pft,
-		RoutedTokens: b,
-		RecvTokens:   bExp,
-		Dropped:      pft.Dropped,
-	}
-	if opts.SaveForBackward {
-		res.State = &PFTFwdState{
-			S:          s,
-			PFT:        pft,
-			RecvCounts: recvCounts,
-			BlockOff:   blockOff,
-			RowsPerLE:  rowsPerLE,
-			ExpertIn:   expertIn,
-			HidPre:     hidPre,
-			HidAct:     hidAct,
-			CombineIn:  combineIn,
-		}
-	}
-	return res
+	return pftForwardMiddle(r, g, cfg, s, pft, dispIn, params, opts)
 }
 
 // PaddedForward executes the conventional zero-padded MoE layer used by
@@ -513,15 +311,12 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 		panic((&OptionError{Opt: "CapacityByExpert",
 			Detail: "moe: the padded pipeline's even all-to-all requires uniform expert capacity; per-expert rebalance needs the pft or rbd transport"}).Error())
 	}
-	epr := epCheck(cfg, g)
-	p := g.Size()
-	h, f, e := cfg.HModel, cfg.HFFN, cfg.NumExperts
+	epCheck(cfg, g)
+	h, e := cfg.HModel, cfg.NumExperts
 	capTokens := cfg.Capacity(s)
 	elem := int64(cfg.BytesPerElem)
-	combElem := int64(opts.combineBytes(cfg))
 	mem := &r.Dev().Mem
 	comp := r.C.Comp
-	pool := r.Pool()
 
 	// Two baseline flavours share the padded buffers but differ in how
 	// they are produced: DeepSpeed-style frameworks build a dense
@@ -562,141 +357,5 @@ func PaddedForward(r *simrt.Rank, g *simrt.Group, cfg Config, s int, x *tensor.T
 	}
 	mem.Alloc("disp_buffer", bufBytes)
 
-	// Chunked comm/compute-overlap execution of the middle section.
-	if opts.chunks() > 1 {
-		return paddedForwardOverlap(r, g, cfg, s, pa, dispBuf, params, opts, kernelClass, maskBytes, intermBytes)
-	}
-
-	// --- Even all-to-all (dispatch) ---------------------------------------
-	// Every pair exchanges the full padded slice for the destination's
-	// experts: EPR * C * H regardless of real occupancy.
-	pairBytes := int64(epr) * int64(capTokens) * int64(h) * elem
-	send := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		part := simrt.Part{Bytes: pairBytes}
-		if opts.Numeric {
-			lo := dst * epr * capTokens * h
-			hi := (dst + 1) * epr * capTokens * h
-			part.Data = dispBuf.Data[lo:hi]
-		}
-		send[dst] = part
-	}
-	recv := r.AlltoAllV(g, StageDispatchA2A, send)
-	mem.Alloc("A_dispatch", int64(p)*pairBytes)
-
-	// --- Expert compute on padded buffers ---------------------------------
-	// Reshape [P, EPR, C, H] -> [EPR, P*C, H] (a permute the frameworks
-	// pay as a fallback op), then batched GEMMs over all padded rows.
-	r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p)*pairBytes))
-	rowsPerExpert := p * capTokens
-	expertTime := comp.BatchedPaddedGEMM(epr, rowsPerExpert, h, f) +
-		comp.BatchedPaddedGEMM(epr, rowsPerExpert, f, h) +
-		comp.MemBound(perfmodel.ClassVendor, 2*int64(epr*rowsPerExpert)*int64(f)*elem)
-	r.Compute(StageExperts, expertTime)
-	mem.Alloc("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-	mem.Alloc("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-	var expertOut *tensor.Tensor
-	var expertIn, hidPre, hidAct *tensor.Tensor
-	if opts.Numeric {
-		// Expert-major view: rows of local expert le from all sources.
-		expertIn = pool.Get(epr*rowsPerExpert, h)
-		for src := 0; src < p; src++ {
-			data := recv[src].Data
-			for le := 0; le < epr; le++ {
-				srcBlock := data[le*capTokens*h : (le+1)*capTokens*h]
-				dstOff := (le*p + src) * capTokens * h
-				copy(expertIn.Data[dstOff:dstOff+capTokens*h], srcBlock)
-			}
-		}
-		rows := make([]int, epr)
-		for i := range rows {
-			rows[i] = rowsPerExpert
-		}
-		hidPre = pool.Get(epr*rowsPerExpert, f)
-		kernels.SequentialGEMMInto(hidPre, expertIn, rows, params.W1)
-		hidAct = hidPre
-		if opts.SaveForBackward {
-			hidAct = pool.Get(epr*rowsPerExpert, f)
-			hidAct.Copy(hidPre)
-		}
-		tensor.GeLU(hidAct)
-		expertOut = pool.Get(epr*rowsPerExpert, h)
-		kernels.SequentialGEMMInto(expertOut, hidAct, rows, params.W2)
-		if !opts.SaveForBackward {
-			pool.PutAll(expertIn, hidPre)
-		}
-	}
-
-	// --- Even all-to-all (combine) -----------------------------------------
-	// The wire stays half precision; Tutel's fp32 quirk applies to the
-	// materialised A_combine buffer (Table 4), not the exchange.
-	r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p)*pairBytes))
-	sendBack := make([]simrt.Part, p)
-	for dst := 0; dst < p; dst++ {
-		part := simrt.Part{Bytes: int64(epr) * int64(capTokens) * int64(h) * elem}
-		if opts.Numeric {
-			buf := make([]float32, epr*capTokens*h)
-			for le := 0; le < epr; le++ {
-				srcOff := (le*p + dst) * capTokens * h
-				copy(buf[le*capTokens*h:(le+1)*capTokens*h],
-					expertOut.Data[srcOff:srcOff+capTokens*h])
-			}
-			part.Data = buf
-		}
-		sendBack[dst] = part
-	}
-	back := r.AlltoAllV(g, StageCombineA2A, sendBack)
-	mem.Alloc("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
-
-	// --- Buffer combine -------------------------------------------------------
-	if vendor {
-		r.Compute(StageCombine, comp.MemBound(perfmodel.ClassVendor,
-			2*int64(e)*int64(capTokens)*int64(h)*combElem))
-	} else {
-		r.Compute(StageCombine, comp.MaskEinsum(s, e, capTokens, h))
-	}
-	var out *tensor.Tensor
-	var full *tensor.Tensor
-	if opts.Numeric {
-		// expertOut is fully staged into the send-back buffers.
-		pool.Put(expertOut)
-		full = pool.Get(e*capTokens, h)
-		for dst := 0; dst < p; dst++ {
-			d := back[dst].Data
-			copy(full.Data[dst*epr*capTokens*h:(dst*epr+epr)*capTokens*h], d)
-		}
-		out = kernels.PaddedCombine(full.Reshape(e, capTokens, h), pa.SlotToken, pa.SlotWeight, capTokens, s)
-		if !opts.SaveForBackward {
-			pool.Put(full)
-		}
-	}
-	mem.Alloc("output", int64(s)*int64(h)*elem)
-
-	if !opts.RetainActivations {
-		mem.Free("mask", maskBytes)
-		mem.Free("mask_interm", intermBytes)
-		mem.Free("disp_buffer", int64(e)*int64(capTokens)*int64(h)*elem)
-		mem.Free("A_dispatch", int64(p)*pairBytes)
-		mem.Free("A0_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-		mem.Free("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
-		mem.Free("A_combine", int64(e)*int64(capTokens)*int64(h)*combElem)
-	}
-
-	res := LayerResult{
-		Output:       out,
-		RoutedTokens: pa.Occupied,
-		RecvTokens:   epr * rowsPerExpert,
-		Dropped:      pa.Dropped,
-	}
-	if opts.SaveForBackward {
-		res.PaddedState = &PaddedFwdState{
-			S:           s,
-			PA:          pa,
-			ExpertIn:    expertIn,
-			HidPre:      hidPre,
-			HidAct:      hidAct,
-			CombineFull: full,
-		}
-	}
-	return res
+	return paddedForwardMiddle(r, g, cfg, s, pa, dispBuf, params, opts, kernelClass, maskBytes, intermBytes)
 }

@@ -1,15 +1,16 @@
 package moe
 
-// Chunked comm/compute-overlap execution of the MoE middle section
-// (dispatch all-to-all -> expert GEMMs -> combine all-to-all), the
-// optimisation FastMoE's smart scheduling and Megatron Core's MoE overlap
-// apply to hide the paper's dominant all-to-all cost (Fig. 11) behind the
-// expert computation:
+// The MoE middle section (dispatch all-to-all -> expert GEMMs -> combine
+// all-to-all) of PFTForward and PaddedForward, run in C = opts.chunks()
+// chunks. C = 1 is the blocking pipeline; C >= 2 is the chunked
+// comm/compute overlap FastMoE's smart scheduling and Megatron Core's MoE
+// overlap apply to hide the paper's dominant all-to-all cost (Fig. 11)
+// behind the expert computation:
 //
 //   - The routed tokens are split into C chunks along each (destination
 //     rank, local expert) segment, using the same ChunkRange split on both
 //     ends so no extra metadata crosses the wire (full per-expert counts
-//     ride with chunk 0 only, exactly the blocking pipeline's volume).
+//     ride with chunk 0 only, exactly the single-chunk volume).
 //   - All C dispatch all-to-alls are issued non-blocking up front; they
 //     serialise on the rank's communication stream, so chunk i+1's
 //     transfer flies while chunk i's expert GEMMs run on the device.
@@ -17,16 +18,22 @@ package moe
 //     its GEMMs, overlapping the remaining chunks' compute; the waits at
 //     the end charge only the uncovered tail.
 //
-// Numeric output is bit-identical to the blocking pipeline: the expert
-// FFN is row-independent, chunking only re-times row groups without
-// reordering any per-row arithmetic, and every returned row is written to
-// the exact position the blocking pipeline would use.
+// Pricing is chunk-count aware: for C >= 2 a destination's chunk rows are
+// strided across its experts' segments, so packing them into a send
+// buffer is a memory-bound pass charged to StageOthers. At C = 1 every
+// destination's rows are one contiguous block, sent as a zero-copy view
+// and charged nothing. The §5.4.1 expert-major reorders are charged at
+// every C.
 //
-// With SaveForBackward, the overlapped pipelines additionally scatter
-// each chunk's intermediates (expert input, pre-activation, post-GeLU
-// activation) into the same full-layout buffers the blocking forward
-// saves — chunk rows of block (src, le) land at the block's expert-major
-// offset plus the chunk's ChunkRange start — so PFTBackward /
+// Numeric output is bit-identical for every C: the expert FFN is
+// row-independent, chunking only re-times row groups without reordering
+// any per-row arithmetic, and every returned row is written to the same
+// position.
+//
+// With SaveForBackward, each chunk's intermediates (expert input,
+// pre-activation, post-GeLU activation) are scattered into full-layout
+// expert-major buffers — chunk rows of block (src, le) land at the
+// block's offset plus the chunk's ChunkRange start — so PFTBackward /
 // PaddedBackward consume an identical state regardless of the forward
 // chunk count.
 
@@ -37,10 +44,10 @@ import (
 	"xmoe/internal/tensor"
 )
 
-// pftForwardOverlap continues PFTForward after gating, PFT construction
+// pftForwardMiddle continues PFTForward after gating, PFT construction
 // and the dispatch gather, executing the exchange and expert stages in
-// opts.chunks() overlapped chunks.
-func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PFT,
+// opts.chunks() chunks.
+func pftForwardMiddle(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PFT,
 	dispIn *tensor.Tensor, params *ExpertParams, opts PipelineOpts) LayerResult {
 
 	chunks := opts.chunks()
@@ -59,7 +66,7 @@ func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PF
 	// Chunk c of global expert e covers rows ChunkRange(cnt_e, chunks, c)
 	// of e's contiguous PFT segment; a chunk part concatenates the
 	// destination rank's experts' chunk rows in expert order. The full
-	// per-expert counts ride with chunk 0 (blocking wire volume), later
+	// per-expert counts ride with chunk 0 (the C=1 wire volume), later
 	// chunks are derived by both ends from the same split. Part slices
 	// for all chunks view one flat backing array so the steady-state
 	// allocation count stays independent of the chunk count.
@@ -83,27 +90,15 @@ func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PF
 				part.Bytes += int64(epr) * 8
 			}
 			if opts.Numeric && rows > 0 {
-				// Staged allocate-fresh: the buffer crosses a collective.
-				buf := make([]float32, rows*h)
-				pos := 0
-				for le := 0; le < epr; le++ {
-					e := dst*epr + le
-					lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
-					if hi > lo {
-						copy(buf[pos*h:(pos+hi-lo)*h],
-							dispIn.Data[(segStart[e]+lo)*h:(segStart[e]+hi)*h])
-						pos += hi - lo
-					}
-				}
-				part.Data = buf
+				part.Data = packPFTChunk(dispIn.Data, pft, segStart, dst, epr, h, chunks, c, rows)
 			}
 			send[dst] = part
 		}
-		// The chunked path packs strided per-expert chunk rows into send
-		// buffers — a real memory-bound pass the blocking pipeline avoids
-		// by sending contiguous views — so it is charged, keeping the
-		// overlap-vs-blocking comparison honest.
-		r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+		if chunks > 1 {
+			// Packing strided per-expert chunk rows is a real
+			// memory-bound pass; C=1 sends contiguous views instead.
+			r.Compute(StageOthers, comp.MemBound(perfmodel.ClassTriton, 2*int64(chunkRows)*int64(h)*elem))
+		}
 		dispatchH[c] = r.AlltoAllVAsync(g, StageDispatchA2A, send)
 	}
 
@@ -117,16 +112,15 @@ func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PF
 	// within the block, partPos[src*epr+le] its offset within src's part
 	// (send and receive sides share the layout: local experts ascending),
 	// blockOff[le*p+src] its offset within the chunk's expert-major
-	// buffer. Precomputed prefix sums keep packing O(p*epr) per chunk, as
-	// the blocking path's blockOff table does.
+	// buffer. Precomputed prefix sums keep packing O(p*epr) per chunk.
 	chunkLen := make([]int, p*epr)
 	chunkLo := make([]int, p*epr)
 	partPos := make([]int, p*epr)
 	blockOff := make([]int, epr*p)
 	backFlat := make([]simrt.Part, chunks*p)
-	// Full-layout saved state (SaveForBackward): blockOffFull mirrors the
-	// blocking pipeline's [le][src] expert-major offsets; the chunk
-	// intermediates are scattered into full-size buffers at those offsets.
+	// Full-layout saved state (SaveForBackward): blockOffFull holds the
+	// full [le][src] expert-major offsets; the chunk intermediates are
+	// scattered into full-size buffers at those offsets.
 	var blockOffFull [][]int
 	var fullRowsPerLE []int
 	var expertIn, hidPre, hidAct *tensor.Tensor
@@ -222,9 +216,9 @@ func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PF
 			interm := pool.Get(bc, f)
 			kernels.SequentialGEMMInto(interm, chunkIn, rowsPerLE, params.W1)
 			if opts.SaveForBackward {
-				// Scatter this chunk's intermediates into the blocking
-				// pipeline's full expert-major layout before/after the
-				// activation so the saved state is chunk-count invariant.
+				// Scatter this chunk's intermediates into the full
+				// expert-major layout before/after the activation so
+				// the saved state is chunk-count invariant.
 				scatterChunkRows(expertIn.Data, chunkIn.Data, h, epr, p, blockOffFull, blockOff, chunkLen, chunkLo)
 				scatterChunkRows(hidPre.Data, interm.Data, f, epr, p, blockOffFull, blockOff, chunkLen, chunkLo)
 			}
@@ -292,7 +286,7 @@ func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PF
 		}
 	}
 
-	// --- Scatter combine (identical to the blocking pipeline) ------------
+	// --- Scatter combine --------------------------------------------------
 	r.Compute(StageCombine, comp.MemBound(perfmodel.ClassTriton, 2*int64(b)*int64(h)*combElem))
 	var out *tensor.Tensor
 	if opts.Numeric {
@@ -335,10 +329,30 @@ func pftForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int, pft *PF
 	return res
 }
 
+// packPFTChunk returns destination dst's rows of chunk c from the
+// PFT-ordered rows in data: at C=1 a view of dst's contiguous block (the
+// caller keeps data intact until every peer has landed it), otherwise a
+// fresh buffer packing dst's experts' strided chunk rows in expert order.
+func packPFTChunk(data []float32, pft *PFT, segStart []int, dst, epr, h, chunks, c, rows int) []float32 {
+	if chunks == 1 {
+		lo := segStart[dst*epr]
+		return data[lo*h : (lo+rows)*h]
+	}
+	buf := make([]float32, rows*h)
+	pos := 0
+	for le := 0; le < epr; le++ {
+		e := dst*epr + le
+		lo, hi := simrt.ChunkRange(pft.TokensPerExpert[e], chunks, c)
+		copy(buf[pos*h:(pos+hi-lo)*h], data[(segStart[e]+lo)*h:(segStart[e]+hi)*h])
+		pos += hi - lo
+	}
+	return buf
+}
+
 // scatterChunkRows copies the (src, le) sub-blocks of a chunk-contiguous
-// buffer into the blocking pipeline's full expert-major layout: chunk
-// rows of block (src, le) land at the block's full offset plus the
-// chunk's ChunkRange start. width is the row width of both buffers.
+// buffer into the full expert-major layout: chunk rows of block (src, le)
+// land at the block's full offset plus the chunk's ChunkRange start.
+// width is the row width of both buffers.
 func scatterChunkRows(full, chunk []float32, width, epr, p int,
 	blockOffFull [][]int, blockOff, chunkLen, chunkLo []int) {
 	for le := 0; le < epr; le++ {
@@ -354,11 +368,10 @@ func scatterChunkRows(full, chunk []float32, width, epr, p int,
 	}
 }
 
-// paddedForwardOverlap continues PaddedForward after gating, plan
+// paddedForwardMiddle continues PaddedForward after gating, plan
 // construction and the padded dispatch, executing the even exchanges and
-// the batched expert GEMMs in opts.chunks() overlapped chunks of capacity
-// slots.
-func paddedForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
+// the batched expert GEMMs in opts.chunks() chunks of capacity slots.
+func paddedForwardMiddle(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
 	pa *PaddedAssignment, dispBuf *tensor.Tensor, params *ExpertParams,
 	opts PipelineOpts, kernelClass perfmodel.KernelClass, maskBytes, intermBytes int64) LayerResult {
 
@@ -389,7 +402,10 @@ func paddedForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
 		send := sendFlat[c*p : (c+1)*p]
 		for dst := 0; dst < p; dst++ {
 			part := simrt.Part{Bytes: int64(epr) * int64(cl) * int64(h) * elem}
-			if opts.Numeric && cl > 0 {
+			if opts.Numeric && cl > 0 && chunks == 1 {
+				// dst's experts' full slot ranges are contiguous.
+				part.Data = dispBuf.Data[dst*epr*capTokens*h : (dst+1)*epr*capTokens*h]
+			} else if opts.Numeric && cl > 0 {
 				buf := make([]float32, epr*cl*h)
 				for le := 0; le < epr; le++ {
 					base := ((dst*epr+le)*capTokens + slo) * h
@@ -399,9 +415,10 @@ func paddedForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
 			}
 			send[dst] = part
 		}
-		// Charge the strided slot-chunk pack the blocking pipeline's
-		// contiguous zero-copy send avoids.
-		r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
+		if chunks > 1 {
+			// Charge the strided slot-chunk pack; C=1 sends views.
+			r.Compute(StageOthers, comp.MemBound(kernelClass, 2*int64(p*epr*cl)*int64(h)*elem))
+		}
 		dispatchH[c] = r.AlltoAllVAsync(g, StageDispatchA2A, send)
 	}
 	mem.Alloc("A_dispatch", int64(p)*pairBytes)
@@ -410,7 +427,7 @@ func paddedForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
 	mem.Alloc("A1_interm", int64(epr*rowsPerExpert)*int64(f)*elem)
 
 	// Full-layout saved state (SaveForBackward), expert-major padded rows
-	// ((le*P + src)*C + slot), exactly the blocking pipeline's layout.
+	// ((le*P + src)*C + slot), independent of the chunk count.
 	var expertIn, hidPre, hidAct *tensor.Tensor
 	if opts.SaveForBackward && opts.Numeric {
 		expertIn = pool.Get(epr*rowsPerExpert, h)
@@ -518,7 +535,7 @@ func paddedForwardOverlap(r *simrt.Rank, g *simrt.Group, cfg Config, s int,
 		}
 	}
 
-	// --- Buffer combine (identical to the blocking pipeline) -------------
+	// --- Buffer combine ---------------------------------------------------
 	if vendor {
 		r.Compute(StageCombine, comp.MemBound(perfmodel.ClassVendor,
 			2*int64(e)*int64(capTokens)*int64(h)*combElem))

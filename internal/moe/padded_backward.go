@@ -17,10 +17,11 @@ import (
 // point of the baseline.
 //
 // opts mirrors PFTBackward: Numeric selects real gradient math (dOut and
-// params required), OverlapChunks the chunked overlapped execution whose
-// gradients are bit-identical to the blocking backward for any chunk
-// count (per-chunk dX chain over capacity-slot ranges, deferred
-// full-segment dW GEMMs).
+// params required), OverlapChunks the chunk count C of one body for
+// every C (per-chunk dX chain over capacity-slot ranges, full-segment dW
+// GEMMs after the last chunk), whose gradients are bit-identical for any
+// chunk count. At C=1 the two exchanges are blocking and the dW GEMMs
+// follow the reverse dispatch, the same schedule as PFTBackward.
 func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PaddedFwdState,
 	dOut *tensor.Tensor, params *ExpertParams, opts PipelineOpts) BackwardResult {
 
@@ -127,7 +128,7 @@ func PaddedBackward(r *simrt.Rank, g *simrt.Group, cfg Config, st *PaddedFwdStat
 	// Received layout per chunk: [P, EPR, cl, H] reordered into the full
 	// expert-major gradient buffer; the dX GEMM chain runs per chunk, the
 	// dW GEMMs once over the complete segments after the last chunk (see
-	// pftBackwardOverlap for the bit-identity argument).
+	// PFTBackward for the bit-identity argument).
 	var dExpertOut, dHidAct, dHidPre, dExpertIn *tensor.Tensor
 	if opts.Numeric {
 		dExpertOut = pool.Get(epr*rowsPerExpert, h)

@@ -186,6 +186,53 @@ func TestStragglerScalesComputeAndPeersAbsorbIt(t *testing.T) {
 	}
 }
 
+// TestBusyTimesCountsComputeOnly pins the per-rank signal the
+// straggler-aware capacity rebalance feeds on: Busy accumulates Compute
+// spans, scaled by the injector's straggler multiplier, and excludes the
+// BSP synchronisation and collective time that Clock absorbs. BusyTimes
+// reports 0 for ranks that never started.
+func TestBusyTimesCountsComputeOnly(t *testing.T) {
+	c := testCluster(4)
+	c.Inject = &testInjector{scale: map[int]float64{2: 3}}
+	g := c.WorldGroup()
+	ranks, err := c.RunCollect(func(r *Rank) error {
+		r.Compute("gemm", 0.1*float64(r.ID+1))
+		send := make([]Part, g.Size())
+		for i := range send {
+			send[i] = Part{Bytes: 1 << 20}
+		}
+		r.AlltoAllV(g, "a2a", send)
+		r.AlltoAllVAsync(g, "a2a_async", send).Wait()
+		r.Barrier(g)
+		r.Compute("tail", 0.05)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := BusyTimes(ranks)
+	for id, r := range ranks {
+		scale := 1.0
+		if id == 2 {
+			scale = 3
+		}
+		want := 0.1*float64(id+1)*scale + 0.05*scale
+		if math.Abs(busy[id]-want) > 1e-15 || r.Busy != busy[id] {
+			t.Errorf("rank %d: Busy %v, BusyTimes %v, want %v", id, r.Busy, busy[id], want)
+		}
+		if r.Clock <= busy[id] {
+			t.Errorf("rank %d: clock %v must exceed Busy %v by the sync and collective time", id, r.Clock, busy[id])
+		}
+	}
+	// The straggler's slot stands out even though BSP equalised clocks.
+	if busy[2] <= busy[3] {
+		t.Errorf("straggler Busy %v not above rank 3's %v", busy[2], busy[3])
+	}
+	if got := BusyTimes([]*Rank{ranks[0], nil}); got[0] != ranks[0].Busy || got[1] != 0 {
+		t.Errorf("BusyTimes with a nil rank = %v, want [%v 0]", got, ranks[0].Busy)
+	}
+}
+
 // TestFlakyCollectiveDelayChargedToClock: the injector's retry delay is
 // charged to the victim's clock before the collective, recorded as
 // "<name>_retry", and the charged breakdown still sums to wall-clock.
